@@ -16,12 +16,9 @@
 use dpu_bench::{Args, JsonWriter};
 use dpu_core::probe::Probe;
 use dpu_core::StackId;
-use dpu_reactor::ReactorConfig;
-use dpu_repl::builder::{
-    group_reactor, group_runtime, send_probe_live, send_probe_reactor, specs, GroupStackOpts,
-    SwitchLayer,
-};
-use dpu_runtime::RuntimeConfig;
+use dpu_reactor::{Reactor, ReactorConfig};
+use dpu_repl::builder::{group, send_probe, specs, GroupStackOpts, Handles, SwitchLayer};
+use dpu_runtime::{LiveHost, Runtime, RuntimeConfig, Transport};
 use std::time::{Duration, Instant};
 
 const N: u32 = 3;
@@ -45,17 +42,26 @@ fn opts() -> GroupStackOpts {
     }
 }
 
-/// Drive `msgs` paced probes through `send`, wait for full delivery on
-/// all `N` stacks via `delivered`, then summarise the latency samples.
-fn measure(
-    msgs: u32,
-    mut send: impl FnMut(),
-    delivered: impl Fn(u32) -> usize,
-    latencies: impl Fn(u32) -> Vec<f64>,
-) -> Measured {
+/// Drive `msgs` paced probes from [`SENDER`] through `host`, wait for
+/// full delivery on all `N` stacks, then summarise the latency samples.
+fn measure<T: Transport>(host: &LiveHost<T>, h: &Handles, msgs: u32) -> Measured {
+    let probe = h.probe.expect("probe");
+    let delivered = |node: u32| {
+        host.with_stack(StackId(node), move |s| {
+            s.with_module::<Probe, _>(probe, |p| p.delivered().len()).expect("probe")
+        })
+    };
+    let latencies = |node: u32| {
+        host.with_stack(StackId(node), move |s| {
+            s.with_module::<Probe, _>(probe, |p| {
+                p.delivered().iter().map(|r| r.latency().as_millis_f64() * 1e3).collect::<Vec<_>>()
+            })
+            .expect("probe")
+        })
+    };
     let t0 = Instant::now();
     for _ in 0..msgs {
-        send();
+        send_probe(host, SENDER, h);
         std::thread::sleep(PACE);
     }
     let limit = Instant::now() + Duration::from_secs(120);
@@ -64,7 +70,7 @@ fn measure(
         std::thread::sleep(Duration::from_millis(5));
     }
     let elapsed = t0.elapsed().as_secs_f64();
-    let mut samples: Vec<f64> = (0..N).flat_map(&latencies).collect();
+    let mut samples: Vec<f64> = (0..N).flat_map(latencies).collect();
     samples.sort_by(|a, b| a.total_cmp(b));
     let pct = |p: f64| samples[((samples.len() - 1) as f64 * p) as usize];
     Measured {
@@ -75,53 +81,6 @@ fn measure(
     }
 }
 
-fn run_runtime(msgs: u32) -> Measured {
-    let (rt, h) = group_runtime(RuntimeConfig::new(N).with_shards(1), &opts());
-    let probe = h.probe.expect("probe");
-    let delivered = |node: u32| {
-        rt.with_stack(StackId(node), move |s| {
-            s.with_module::<Probe, _>(probe, |p| p.delivered().len()).expect("probe")
-        })
-    };
-    let lats = |node: u32| {
-        rt.with_stack(StackId(node), move |s| {
-            s.with_module::<Probe, _>(probe, |p| {
-                p.delivered().iter().map(|r| r.latency().as_millis_f64() * 1e3).collect::<Vec<_>>()
-            })
-            .expect("probe")
-        })
-    };
-    let m = measure(msgs, || send_probe_live(&rt, SENDER, &h), delivered, lats);
-    rt.shutdown();
-    m
-}
-
-fn run_reactor(msgs: u32) -> (Measured, dpu_reactor::ReactorStats) {
-    let cfg = ReactorConfig::new(N, (0..N).map(StackId).collect());
-    let (r, h) = group_reactor(cfg, &opts()).expect("spawn reactor");
-    let probe = h.probe.expect("probe");
-    let delivered = |node: u32| {
-        r.with_stack(StackId(node), move |s| {
-            s.with_module::<Probe, _>(probe, |p| p.delivered().len()).expect("probe")
-        })
-    };
-    let lats = |node: u32| {
-        r.with_stack(StackId(node), move |s| {
-            s.with_module::<Probe, _>(probe, |p| {
-                p.delivered()
-                    .iter()
-                    .map(|rec| rec.latency().as_millis_f64() * 1e3)
-                    .collect::<Vec<_>>()
-            })
-            .expect("probe")
-        })
-    };
-    let m = measure(msgs, || send_probe_reactor(&r, SENDER, &h), delivered, lats);
-    let stats = r.stats();
-    r.shutdown();
-    (m, stats)
-}
-
 fn main() {
     let args = Args::parse();
     let out = std::env::args()
@@ -130,8 +89,15 @@ fn main() {
         .unwrap_or_else(|| "BENCH_net.json".to_string());
     let msgs: u32 = if args.has("quick") { 100 } else { args.get("msgs", 500) };
 
-    let rt = run_runtime(msgs);
-    let (rx, stats) = run_reactor(msgs);
+    let (host, h) = group(&opts(), |mk| Runtime::spawn(RuntimeConfig::new(N).with_shards(1), mk));
+    let rt = measure(&host, &h, msgs);
+    host.shutdown();
+    let cfg = ReactorConfig::new(N, (0..N).map(StackId).collect());
+    let (host, h) = group(&opts(), |mk| Reactor::spawn(cfg, mk));
+    let host = host.expect("spawn reactor");
+    let rx = measure(&host, &h, msgs);
+    let stats = host.stats();
+    host.shutdown();
 
     let mut w = JsonWriter::new();
     w.begin_obj()

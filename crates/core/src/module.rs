@@ -147,6 +147,12 @@ impl TransportStats {
     }
 }
 
+impl From<TransportStats> for crate::telemetry::TransportCounters {
+    fn from(t: TransportStats) -> Self {
+        Self { retransmissions: t.retransmissions, exhausted: t.exhausted, unacked: t.unacked }
+    }
+}
+
 /// A serialisable description of a module to create: the paper's `prot`
 /// argument of `changeABcast(prot)` and the unit of
 /// [`crate::stack::FactoryRegistry`] construction.

@@ -555,6 +555,12 @@ impl ScratchStats {
     }
 }
 
+impl From<ScratchStats> for crate::telemetry::WireCounters {
+    fn from(s: ScratchStats) -> Self {
+        Self { emitted: s.emitted, reclaimed: s.reclaimed, allocations: s.allocations }
+    }
+}
+
 /// How many emitted buffers a per-stack [`WireScratch`] keeps a handle
 /// to for reclaim. Bounds both the scan cost per encode and the retained
 /// memory (entries whose consumers are long-lived rotate out).

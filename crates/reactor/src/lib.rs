@@ -1,627 +1,16 @@
-//! # dpu-reactor — an epoll-backed real-socket host for DPU stacks
+//! # dpu-reactor — the live host on real UDP sockets
 //!
-//! The third host of the workspace, after the deterministic simulator
-//! (`dpu-sim`) and the in-process sharded runtime (`dpu-runtime`): one
-//! event-loop thread multiplexing N stacks whose network is **real
-//! nonblocking UDP sockets** over loopback (or any interface), so a
-//! protocol group can span OS processes. The same [`StackDriver`]
-//! drives the stacks — protocol modules cannot tell which host they
-//! run under; only the `ActionSink` behind `NetSend` changes.
+//! The socket half of `dpu-runtime`'s one live host:
+//! [`Reactor`] = `LiveHost<Udp>`, one epoll-driven shard thread whose
+//! stacks each own a nonblocking UDP socket, so a protocol group can
+//! span OS processes. The same shard loop, reports and control plane
+//! serve the in-memory [`dpu_runtime::Runtime`]; only the transport
+//! differs. See `dpu_runtime`'s crate docs.
 //!
-//! ```text
-//!        ┌───────────── reactor thread ──────────────┐
-//!        │ epoll_wait(sockets…, eventfd, deadline)   │
-//!        │   ├─ readable socket → recv_from drain    │
-//!        │   │    └─ SockFrame decode → inject       │
-//!        │   ├─ eventfd → command queue (with_stack, │
-//!        │   │    set_peer, stop)                    │
-//!        │   └─ deadline → StackDriver::poll         │
-//!        └───────────────────────────────────────────┘
-//! ```
-//!
-//! * Each hosted stack owns one nonblocking `UdpSocket`; frames are
-//!   [`dpu_net::sockframe::SockFrame`] envelopes carrying
-//!   `(src, dst, payload)`, encoded through a scratch-pooled
-//!   [`dpu_net::sockframe::FrameCodec`].
-//! * A [`NodeAddr`] peer table maps every [`StackId`] of the group —
-//!   local or in another process — to its `SocketAddr`; **all** sends
-//!   go through a real `send_to`, even stack-to-stack within one
-//!   reactor, so the loopback path is exercised end to end.
-//! * Timer deadlines come from [`StackDriver::poll`]'s [`Wakeup`] and
-//!   become the `epoll_wait` timeout; an idle reactor blocks with no
-//!   deadline and burns no CPU.
-//! * Cross-thread commands ([`Reactor::with_stack`], peer updates,
-//!   shutdown) ride a channel paired with an eventfd wakeup.
-//! * Socket input is untrusted: malformed datagrams are counted drops
-//!   ([`ReactorStats`]), never panics. Send-side probabilistic loss
-//!   ([`ReactorConfig::loss`]) injects faults for rp2p to recover.
-//!
-//! The raw `epoll`/`eventfd` FFI lives in [`sys`] — Linux-only, with a
-//! documented degraded fallback elsewhere (see that module's docs).
+//! The raw `epoll`/`eventfd` FFI is [`sys`], which holds all the
+//! `unsafe` of the live host.
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod sys;
-
-use bytes::Bytes;
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TryRecvError};
-use dpu_core::host::{ActionSink, HostEvent, StackDriver, Wakeup};
-use dpu_core::time::Time;
-use dpu_core::{Stack, StackConfig, StackId, TelemetryConfig};
-use std::any::Any;
-use std::collections::BTreeMap;
-use std::io;
-use std::net::{SocketAddr, UdpSocket};
-use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Instant;
-
-/// One row of the peer table: where a stack of the group lives.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct NodeAddr {
-    /// The stack.
-    pub id: StackId,
-    /// Its socket address (loopback in the demos, but any address
-    /// works).
-    pub addr: SocketAddr,
-}
-
-/// Configuration of a reactor: which slice of an `n`-stack group this
-/// process hosts.
-#[derive(Clone, Debug)]
-pub struct ReactorConfig {
-    /// Total group size. Peer lists of the hosted stacks span the full
-    /// group, exactly as under the other hosts.
-    pub n: u32,
-    /// The stacks hosted by *this* reactor (any subset of `0..n`).
-    /// Each gets its own UDP socket on `bind_addr`.
-    pub local: Vec<StackId>,
-    /// Bind address for the local sockets; port 0 (the default via
-    /// [`ReactorConfig::new`]) lets the OS pick. Actual addresses are
-    /// reported by [`Reactor::local_addrs`].
-    pub bind_addr: SocketAddr,
-    /// Seed mixed into each stack's deterministic RNG stream.
-    pub seed: u64,
-    /// Probability of dropping an outbound datagram before `send_to`
-    /// (fault injection; the wire itself is loopback-reliable, so this
-    /// is how the demos exercise rp2p recovery).
-    pub loss: f64,
-    /// Record stack traces.
-    pub trace: bool,
-    /// Per-stack observability (histograms, switch timeline, flight
-    /// recorder). On by default like under the other hosts.
-    pub telemetry: TelemetryConfig,
-}
-
-impl ReactorConfig {
-    /// Host `local` of an `n`-stack group on OS-assigned loopback
-    /// ports, no fault injection.
-    pub fn new(n: u32, local: Vec<StackId>) -> ReactorConfig {
-        ReactorConfig {
-            n,
-            local,
-            bind_addr: SocketAddr::from(([127, 0, 0, 1], 0)),
-            seed: 0,
-            loss: 0.0,
-            trace: false,
-            telemetry: TelemetryConfig::default(),
-        }
-    }
-}
-
-/// Aggregate counters of one reactor.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ReactorStats {
-    /// Frames handed to the send path.
-    pub packets_sent: u64,
-    /// Frames dropped by the injected loss model (before `send_to`).
-    pub packets_dropped: u64,
-    /// Frames dropped because the destination has no peer-table entry.
-    pub unroutable: u64,
-    /// `send_to` errors (counted and dropped; rp2p recovers).
-    pub send_errors: u64,
-    /// Received datagrams that were not well-formed
-    /// [`SockFrame`](dpu_net::sockframe::SockFrame)s
-    /// (junk, truncation, corruption, wrong magic) — counted, never
-    /// panicked on.
-    pub malformed_dropped: u64,
-    /// Well-formed frames whose destination is not hosted here.
-    pub misdirected: u64,
-    /// Datagrams received and decoded successfully.
-    pub packets_received: u64,
-}
-
-#[derive(Default)]
-struct StatsInner {
-    packets_sent: AtomicU64,
-    packets_dropped: AtomicU64,
-    unroutable: AtomicU64,
-    send_errors: AtomicU64,
-    malformed_dropped: AtomicU64,
-    misdirected: AtomicU64,
-    packets_received: AtomicU64,
-}
-
-type StackFn = Box<dyn FnOnce(&mut Stack) -> Box<dyn Any + Send> + Send>;
-
-enum Cmd {
-    /// Run a closure against a local stack, reply with the result.
-    Ctl { dst: StackId, f: StackFn, reply: Sender<Box<dyn Any + Send>> },
-    /// Insert/replace a peer-table row.
-    SetPeer(NodeAddr),
-    /// Report the loop's scratch-pool counters (every encode on this
-    /// reactor runs under the pool loan).
-    PoolStats { reply: Sender<dpu_core::wire::ScratchStats> },
-    /// Stop the loop and return the stacks.
-    Stop,
-}
-
-/// The send path: executes drivers' `NetSend`s as real datagrams. Split
-/// out of the loop state so it can be the `ActionSink` while the
-/// drivers are borrowed.
-struct Wire {
-    sockets: Vec<UdpSocket>,
-    /// Socket index of each local stack (sends leave the sender's own
-    /// socket).
-    index_of: BTreeMap<StackId, usize>,
-    /// `StackId::idx() → SocketAddr` for the whole group.
-    peers: Vec<Option<SocketAddr>>,
-    codec: dpu_net::sockframe::FrameCodec,
-    stats: Arc<StatsInner>,
-    loss: f64,
-    rng: u64,
-}
-
-impl Wire {
-    fn next_rand(&mut self) -> f64 {
-        let mut x = self.rng;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.rng = x;
-        (x.wrapping_mul(0x2545F4914F6CDD1D) >> 11) as f64 / (1u64 << 53) as f64
-    }
-}
-
-impl ActionSink for Wire {
-    fn net_send(&mut self, _at: Time, src: StackId, dst: StackId, payload: Bytes) {
-        self.stats.packets_sent.fetch_add(1, Ordering::Relaxed);
-        if self.loss > 0.0 && self.next_rand() < self.loss {
-            self.stats.packets_dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        let Some(&Some(addr)) = self.peers.get(dst.idx()) else {
-            self.stats.unroutable.fetch_add(1, Ordering::Relaxed);
-            return;
-        };
-        let frame = self.codec.encode(src, dst, &payload);
-        let sock = self.index_of.get(&src).map(|&i| &self.sockets[i]).unwrap_or(&self.sockets[0]);
-        // A full socket buffer or transient OS error is just packet
-        // loss to the protocols above — counted, not escalated.
-        if sock.send_to(&frame, addr).is_err() {
-            self.stats.send_errors.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-}
-
-/// Largest datagram the reactor accepts (the UDP maximum; the frag
-/// module keeps real traffic far below this).
-const RECV_BUF: usize = 64 * 1024;
-
-struct Loop {
-    ids: Vec<StackId>,
-    drivers: Vec<StackDriver>,
-    /// Latest wakeup deadline of each driver (`None` = idle).
-    deadlines: Vec<Option<Time>>,
-    wire: Wire,
-    cmds: Receiver<Cmd>,
-    poller: sys::Poller,
-    start: Instant,
-    /// The loop-level encode-buffer pool, loaned to whichever driver is
-    /// being polled (see [`dpu_core::stack::Stack::swap_scratch`]): one
-    /// retained pool per reactor instead of one per stack.
-    pool: dpu_core::wire::WireScratch,
-    /// The shard-level dispatch-queue buffer, loaned alongside the
-    /// encode pool: cascade burst capacity scales with the loop, not
-    /// the stack count.
-    qpool: dpu_core::stack::DispatchBuf,
-}
-
-impl Loop {
-    fn now(&self) -> Time {
-        Time(self.start.elapsed().as_nanos() as u64)
-    }
-
-    fn run(mut self) -> Vec<(StackId, Stack)> {
-        // Service start-up work (on_start handlers, first timers).
-        for i in 0..self.drivers.len() {
-            self.poll_driver(i);
-        }
-        let mut ready: Vec<u64> = Vec::new();
-        let mut buf = vec![0u8; RECV_BUF];
-        loop {
-            let timeout = {
-                let now = self.now();
-                self.deadlines.iter().flatten().min().map(|at| at.since(now).to_std())
-            };
-            if self.poller.wait(&mut ready, timeout).is_err() {
-                // An epoll failure is unrecoverable for the loop;
-                // returning the stacks (instead of looping on the
-                // error) at least lets shutdown proceed.
-                break;
-            }
-            loop {
-                match self.cmds.try_recv() {
-                    Ok(Cmd::Stop) => return self.into_stacks(),
-                    Ok(Cmd::Ctl { dst, f, reply }) => {
-                        let local = self.local_idx(dst);
-                        // Loan the pool: the closure may encode.
-                        self.drivers[local].swap_scratch(&mut self.pool);
-                        self.drivers[local].swap_queue(&mut self.qpool);
-                        let r = f(self.drivers[local].stack_mut());
-                        self.drivers[local].swap_scratch(&mut self.pool);
-                        self.drivers[local].swap_queue(&mut self.qpool);
-                        let _ = reply.send(r);
-                        // The closure may have queued work or actions.
-                        self.poll_driver(local);
-                    }
-                    Ok(Cmd::PoolStats { reply }) => {
-                        let _ = reply.send(self.pool.stats());
-                    }
-                    Ok(Cmd::SetPeer(p)) => {
-                        if p.id.idx() < self.wire.peers.len() {
-                            self.wire.peers[p.id.idx()] = Some(p.addr);
-                        }
-                    }
-                    Err(TryRecvError::Empty) => break,
-                    Err(TryRecvError::Disconnected) => return self.into_stacks(),
-                }
-            }
-            let now = self.now();
-            for &token in &ready {
-                Self::drain_socket(
-                    &mut self.wire,
-                    &mut self.drivers,
-                    &mut self.pool,
-                    &mut self.qpool,
-                    token as usize,
-                    &mut buf,
-                    now,
-                );
-            }
-            // Poll every driver that got input or whose deadline is
-            // due. (Drivers swallow injected events on poll, so a
-            // spurious poll of an idle driver is just a cheap no-op —
-            // poll all of them rather than tracking who was touched.)
-            for i in 0..self.drivers.len() {
-                self.poll_driver(i);
-            }
-        }
-        self.into_stacks()
-    }
-
-    /// Read every queued datagram off one socket, decode, and inject
-    /// into the destination driver.
-    fn drain_socket(
-        wire: &mut Wire,
-        drivers: &mut [StackDriver],
-        pool: &mut dpu_core::wire::WireScratch,
-        qpool: &mut dpu_core::stack::DispatchBuf,
-        sock_i: usize,
-        buf: &mut [u8],
-        now: Time,
-    ) {
-        loop {
-            let len = match wire.sockets[sock_i].recv_from(buf) {
-                Ok((len, _from)) => len,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                // Transient receive errors (e.g. ICMP-reflected
-                // ECONNREFUSED on loopback) are loss, not failure.
-                Err(_) => continue,
-            };
-            let Some(frame) = wire.codec.decode(&buf[..len]) else {
-                wire.stats.malformed_dropped.fetch_add(1, Ordering::Relaxed);
-                continue;
-            };
-            let Some(&local) = wire.index_of.get(&frame.dst) else {
-                wire.stats.misdirected.fetch_add(1, Ordering::Relaxed);
-                continue;
-            };
-            wire.stats.packets_received.fetch_add(1, Ordering::Relaxed);
-            drivers[local].inject(HostEvent::Packet { src: frame.src, payload: frame.payload });
-            // One packet, one full dispatch cascade — matching the sim
-            // and the sharded runtime. Injecting a whole epoll batch
-            // before polling would interleave the cascades of
-            // consecutive packets in the stack's breadth-first queue,
-            // letting a packet overtake the module-creation reactions
-            // of the packet before it (fatal across a protocol switch).
-            drivers[local].swap_scratch(pool);
-            drivers[local].swap_queue(qpool);
-            let _ = drivers[local].poll(now, wire);
-            drivers[local].swap_scratch(pool);
-            drivers[local].swap_queue(qpool);
-        }
-    }
-
-    /// Run one driver's canonical drive loop (under the scratch-pool
-    /// loan — dispatched handlers encode); remember its next deadline
-    /// for the epoll timeout.
-    fn poll_driver(&mut self, local: usize) {
-        let now = self.now();
-        self.drivers[local].swap_scratch(&mut self.pool);
-        self.drivers[local].swap_queue(&mut self.qpool);
-        let wakeup = self.drivers[local].poll(now, &mut self.wire);
-        self.drivers[local].swap_scratch(&mut self.pool);
-        self.drivers[local].swap_queue(&mut self.qpool);
-        self.deadlines[local] = match wakeup {
-            Wakeup::Idle => None,
-            Wakeup::At(at) => Some(at),
-        };
-    }
-
-    fn local_idx(&self, id: StackId) -> usize {
-        *self.wire.index_of.get(&id).expect("stack is hosted by this reactor")
-    }
-
-    fn into_stacks(self) -> Vec<(StackId, Stack)> {
-        self.ids.into_iter().zip(self.drivers.into_iter().map(StackDriver::into_stack)).collect()
-    }
-}
-
-/// The real-socket host. See crate docs.
-pub struct Reactor {
-    cmds: Sender<Cmd>,
-    waker: sys::Waker,
-    thread: Option<JoinHandle<Vec<(StackId, Stack)>>>,
-    local: Vec<NodeAddr>,
-    n: u32,
-    start: Instant,
-    stats: Arc<StatsInner>,
-}
-
-impl Reactor {
-    /// Bind one UDP socket per local stack, build the stacks with
-    /// `mk_stack` (called on the spawning thread, in the order of
-    /// `cfg.local`), and start the event-loop thread.
-    ///
-    /// The peer table starts with the local stacks' own (just-bound)
-    /// addresses; remote peers are added with [`Reactor::set_peer`]
-    /// after the processes exchange their [`Reactor::local_addrs`].
-    pub fn spawn(
-        cfg: ReactorConfig,
-        mut mk_stack: impl FnMut(StackConfig) -> Stack,
-    ) -> io::Result<Reactor> {
-        let start = Instant::now();
-        let poller = sys::Poller::new()?;
-        let mut sockets = Vec::with_capacity(cfg.local.len());
-        let mut index_of = BTreeMap::new();
-        let mut peers: Vec<Option<SocketAddr>> = vec![None; cfg.n as usize];
-        let mut local = Vec::with_capacity(cfg.local.len());
-        let mut ids = Vec::with_capacity(cfg.local.len());
-        let mut drivers = Vec::with_capacity(cfg.local.len());
-        let peer_table = StackConfig::peer_table(cfg.n);
-        for (i, &id) in cfg.local.iter().enumerate() {
-            let sock = UdpSocket::bind(cfg.bind_addr)?;
-            sock.set_nonblocking(true)?;
-            poller.register(sock.as_raw_fd(), i as u64)?;
-            let addr = sock.local_addr()?;
-            peers[id.idx()] = Some(addr);
-            local.push(NodeAddr { id, addr });
-            sockets.push(sock);
-            index_of.insert(id, i);
-            let sc = StackConfig {
-                id,
-                peers: Arc::clone(&peer_table),
-                seed: cfg.seed,
-                trace: cfg.trace,
-                // Like the live runtime: no topology model.
-                cluster_size: None,
-                telemetry: cfg.telemetry,
-            };
-            ids.push(id);
-            drivers.push(StackDriver::new(mk_stack(sc)));
-        }
-        let stats = Arc::new(StatsInner::default());
-        let (tx, rx) = unbounded::<Cmd>();
-        let waker = poller.waker();
-        let n_local = drivers.len();
-        let lp = Loop {
-            ids,
-            drivers,
-            deadlines: vec![None; n_local],
-            wire: Wire {
-                sockets,
-                index_of,
-                peers,
-                codec: dpu_net::sockframe::FrameCodec::new(),
-                stats: Arc::clone(&stats),
-                loss: cfg.loss,
-                rng: cfg.seed ^ 0x9E3779B97F4A7C15 | 1,
-            },
-            cmds: rx,
-            poller,
-            start,
-            pool: dpu_core::wire::WireScratch::shard_pool(),
-            qpool: dpu_core::stack::DispatchBuf::new(),
-        };
-        let thread =
-            std::thread::Builder::new().name("dpu-reactor".into()).spawn(move || lp.run())?;
-        Ok(Reactor { cmds: tx, waker, thread: Some(thread), local, n: cfg.n, start, stats })
-    }
-
-    /// Total group size.
-    pub fn n(&self) -> u32 {
-        self.n
-    }
-
-    /// Wall-clock time since the reactor started, as virtual [`Time`]
-    /// (the same clock the loop stamps events with).
-    pub fn now(&self) -> Time {
-        Time(self.start.elapsed().as_nanos() as u64)
-    }
-
-    /// The hosted stacks and the addresses their sockets actually
-    /// bound (ports resolved), for exchanging with other processes.
-    pub fn local_addrs(&self) -> &[NodeAddr] {
-        &self.local
-    }
-
-    /// Insert or replace a peer-table row. Frames to unknown peers are
-    /// counted as [`ReactorStats::unroutable`] and dropped, so peers
-    /// may be added while traffic is already flowing.
-    pub fn set_peer(&self, peer: NodeAddr) {
-        let _ = self.cmds.send(Cmd::SetPeer(peer));
-        self.waker.wake();
-    }
-
-    /// Run a closure against a hosted stack (on the reactor thread)
-    /// and return the result. Blocks until serviced; must be called
-    /// from outside the reactor thread.
-    pub fn with_stack<R: Send + 'static>(
-        &self,
-        id: StackId,
-        f: impl FnOnce(&mut Stack) -> R + Send + 'static,
-    ) -> R {
-        let (tx, rx) = bounded(1);
-        let wrapped: StackFn = Box::new(move |s| Box::new(f(s)) as Box<dyn Any + Send>);
-        self.cmds.send(Cmd::Ctl { dst: id, f: wrapped, reply: tx }).expect("reactor alive");
-        self.waker.wake();
-        let boxed = rx.recv().expect("reactor replies");
-        *boxed.downcast::<R>().expect("result type")
-    }
-
-    /// Snapshot of the socket-path counters.
-    pub fn stats(&self) -> ReactorStats {
-        ReactorStats {
-            packets_sent: self.stats.packets_sent.load(Ordering::Relaxed),
-            packets_dropped: self.stats.packets_dropped.load(Ordering::Relaxed),
-            unroutable: self.stats.unroutable.load(Ordering::Relaxed),
-            send_errors: self.stats.send_errors.load(Ordering::Relaxed),
-            malformed_dropped: self.stats.malformed_dropped.load(Ordering::Relaxed),
-            misdirected: self.stats.misdirected.load(Ordering::Relaxed),
-            packets_received: self.stats.packets_received.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Aggregate [`dpu_core::wire::ScratchStats`] over the hosted
-    /// stacks' scratch pools.
-    pub fn wire_stats(&self) -> dpu_core::wire::ScratchStats {
-        let mut total = self.pool_stats();
-        for na in &self.local {
-            total.absorb(self.with_stack(na.id, |s| s.wire_stats()));
-        }
-        total
-    }
-
-    /// The loop-level scratch pool's counters — where every encode of
-    /// this reactor lands under the loan discipline (the per-stack
-    /// residuals summed by [`Reactor::wire_stats`] stay zero).
-    fn pool_stats(&self) -> dpu_core::wire::ScratchStats {
-        let (tx, rx) = bounded(1);
-        self.cmds.send(Cmd::PoolStats { reply: tx }).expect("reactor alive");
-        self.waker.wake();
-        rx.recv().expect("reactor replies")
-    }
-
-    /// Aggregate [`dpu_core::TransportStats`] over the hosted stacks
-    /// (rp2p retransmissions / exhaustion / unacked backlog — the
-    /// loss-recovery health of the socket path).
-    pub fn transport_stats(&self) -> dpu_core::TransportStats {
-        let mut total = dpu_core::TransportStats::default();
-        for na in &self.local {
-            total.absorb(self.with_stack(na.id, |s| s.transport_stats()));
-        }
-        total
-    }
-
-    /// Unified telemetry snapshot across the hosted stacks: the
-    /// histogram families and switch-phase timeline plus wire,
-    /// transport, *and* socket-path counters ([`ReactorStats`] folded
-    /// into the host-agnostic report as its `sockets` block).
-    /// Shape-identical to `Sim::telemetry_report` and
-    /// `Runtime::telemetry_report`.
-    ///
-    /// Must be called from outside the reactor thread.
-    pub fn telemetry_report(&self) -> dpu_core::telemetry::TelemetryReport {
-        let mut agg = dpu_core::telemetry::TelemetryAggregate::new();
-        let mut wire = dpu_core::wire::ScratchStats::default();
-        let mut transport = dpu_core::TransportStats::default();
-        for na in &self.local {
-            let (part, w, t) = self.with_stack(na.id, |s| {
-                let mut part = dpu_core::telemetry::TelemetryAggregate::new();
-                part.absorb(s.telemetry());
-                (part, s.wire_stats(), s.transport_stats())
-            });
-            agg.merge(&part);
-            wire.absorb(w);
-            transport.absorb(t);
-        }
-        wire.absorb(self.pool_stats());
-        let mut report = agg.report("reactor", self.local.len() as u32, self.now().as_nanos());
-        report.wire = dpu_core::telemetry::WireCounters {
-            emitted: wire.emitted,
-            reclaimed: wire.reclaimed,
-            allocations: wire.allocations,
-        };
-        report.transport = dpu_core::telemetry::TransportCounters {
-            retransmissions: transport.retransmissions,
-            exhausted: transport.exhausted,
-            unacked: transport.unacked,
-        };
-        let r = self.stats();
-        report.sockets = Some(dpu_core::telemetry::SocketCounters {
-            packets_sent: r.packets_sent,
-            packets_dropped: r.packets_dropped,
-            unroutable: r.unroutable,
-            send_errors: r.send_errors,
-            malformed_dropped: r.malformed_dropped,
-            misdirected: r.misdirected,
-            packets_received: r.packets_received,
-        });
-        report
-    }
-
-    /// Dump every hosted stack's flight recorder (most recent events,
-    /// oldest first, with drop counts) — the postmortem a failing soak
-    /// or crashed child process prints.
-    ///
-    /// Must be called from outside the reactor thread.
-    pub fn dump_flight_recorders(&self) -> String {
-        let mut out = String::new();
-        for na in &self.local {
-            let chunk = self.with_stack(na.id, move |s| {
-                let mut buf = String::new();
-                s.telemetry().dump_flight(&format!("stack {}", s.id().0), &mut buf);
-                buf
-            });
-            out.push_str(&chunk);
-        }
-        out
-    }
-
-    /// Stop the loop thread and return the hosted stacks in the order
-    /// of `cfg.local`.
-    pub fn shutdown(mut self) -> Vec<Stack> {
-        let _ = self.cmds.send(Cmd::Stop);
-        self.waker.wake();
-        match self.thread.take() {
-            Some(t) => t.join().expect("reactor thread").into_iter().map(|(_, s)| s).collect(),
-            None => Vec::new(),
-        }
-    }
-}
-
-impl Drop for Reactor {
-    fn drop(&mut self) {
-        // Dropping without `shutdown()` (e.g. on a test panic) must
-        // not leak the loop thread.
-        let _ = self.cmds.send(Cmd::Stop);
-        self.waker.wake();
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
-}
+pub use dpu_runtime::{sys, NodeAddr, Reactor, ReactorConfig, ReactorStats};

@@ -1,13 +1,16 @@
-//! # dpu-runtime — a sharded event-loop host for DPU stacks
+//! # dpu-runtime — the live host for DPU stacks
 //!
-//! Runs the same [`Stack`]s as the deterministic simulator, but for real:
-//! a small, fixed pool of *shard* threads multiplexes any number of
-//! [`StackDriver`]s under the wall clock, with crossbeam channels as the
-//! (in-process) network. This is the scaling host of the workspace —
-//! thousands of stacks per process on a handful of threads — and it
-//! demonstrates that protocol modules are host-agnostic: every stack is
-//! driven exclusively through the unified host API of
-//! [`dpu_core::host`].
+//! Runs the same [`Stack`]s as the deterministic simulator under the
+//! wall clock, driving each exclusively through [`dpu_core::host`], so
+//! protocol modules cannot tell which host — or which transport — runs
+//! them. One host handle, [`LiveHost`], over two [`Transport`]s:
+//!
+//! * [`Runtime`] = `LiveHost<`[`Memory`]`>`: a few shard threads
+//!   multiplex any number of in-process stacks; a send is a post to the
+//!   destination shard's mailbox, stamped `now + delay`.
+//! * [`Reactor`] = `LiveHost<`[`Udp`]`>`: one shard thread whose stacks
+//!   each own a nonblocking UDP socket, so a group can span OS
+//!   processes; it waits in `epoll_wait` (see [`sys`]).
 //!
 //! ```no_run
 //! use dpu_core::{Stack, StackConfig, FactoryRegistry};
@@ -20,155 +23,154 @@
 //! rt.shutdown();
 //! ```
 //!
-//! # The sharding model
-//!
-//! The `n` stacks are assigned round-robin to [`RuntimeConfig::shards`]
-//! worker threads. Each shard owns:
-//!
-//! * its stacks' [`StackDriver`]s — stack, timer queue and drive loop;
-//! * one **mailbox** (an unbounded crossbeam channel) carrying packet
-//!   deliveries, control requests and shutdown;
-//! * one **timer wheel** (a min-heap of `(deadline, event)` pairs)
-//!   holding the next poll deadline of each driver plus packets whose
-//!   modeled delivery time has not arrived yet.
-//!
-//! The shard loop is: fire due wheel entries → poll the touched drivers
-//! (the canonical drain-timers/step/execute loop lives in
-//! [`StackDriver::poll`]) → block on the mailbox until the earliest
-//! wheel deadline. Network sends are executed *by the sending shard*
-//! through an [`ActionSink`] that applies the loss model and routes the
-//! packet to the destination's shard, stamped with a delivery time of
-//! `now + delay` — per-packet latency costs no thread any sleep, so one
-//! slow link never stalls the other stacks of a shard.
-//!
-//! Control requests ([`Runtime::with_stack`]) route to the owning shard
-//! and run between polls; [`Runtime::stats`] and [`Runtime::shutdown`]
-//! keep their pre-sharding signatures.
+//! Each [`Shard`] owns its stacks' [`StackDriver`]s, a `std::sync::mpsc`
+//! mailbox (control closures, report folds, shutdown and — on the memory
+//! transport — packets), a deadline wheel of driver wakes and
+//! delivery-timestamped packets, and the encode pool and dispatch
+//! buffer loaned to whichever driver runs (see
+//! [`Stack::swap_scratch`](dpu_core::stack::Stack::swap_scratch)), so
+//! retained memory scales with shards, not stacks. Its loop fires due
+//! wheel entries, then lets the transport wait until the next deadline.
+//! Reports post one fold per shard: O(shards) messages.
 //!
 //! Since real threads race, runs are *not* reproducible — use `dpu-sim`
-//! for experiments, this runtime for live demos and soak tests.
+//! for experiments, this host for live demos, soaks and groups that
+//! span processes.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+mod memory;
+pub mod sys;
+mod udp;
+
+pub use memory::{Memory, Runtime, RuntimeConfig, RuntimeStats};
+pub use udp::{NodeAddr, Reactor, ReactorConfig, ReactorStats, Udp};
+
 use bytes::Bytes;
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
-use dpu_core::host::{ActionSink, HostEvent, StackDriver, Wakeup};
-use dpu_core::time::{Dur, Time};
-use dpu_core::{Stack, StackConfig, StackId, TelemetryConfig};
-use std::any::Any;
+use dpu_core::host::{ActionSink, ControlFn, HostEvent, StackDriver, Wakeup};
+use dpu_core::stack::DispatchBuf;
+use dpu_core::telemetry::{SocketCounters, TelemetryAggregate, TelemetryReport};
+use dpu_core::time::Time;
+use dpu_core::wire::{ScratchStats, WireScratch};
+use dpu_core::{Stack, StackConfig, StackId, TelemetryConfig, TransportStats};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::io;
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
+use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-/// Configuration of the sharded runtime.
-#[derive(Clone, Debug)]
-pub struct RuntimeConfig {
-    /// Number of stacks.
-    pub n: u32,
-    /// Number of shard (worker) threads multiplexing the stacks.
-    /// `0` (the default) picks `min(n, available_parallelism)`; an
-    /// explicit count is capped to `n` (a shard with no stacks would
-    /// just idle).
-    pub shards: u32,
-    /// Seed mixed into each stack's deterministic RNG stream.
-    pub seed: u64,
-    /// Probability of dropping an in-flight packet (fault injection for
-    /// soak tests; uses an internal xorshift generator).
-    pub loss: f64,
-    /// Artificial per-packet delivery delay. Applied as a delivery
-    /// *timestamp* on the receiving shard's timer wheel — no thread
-    /// sleeps, so delay on one packet never stalls other stacks.
-    pub delay: Dur,
-    /// Record stack traces.
-    pub trace: bool,
-    /// Per-stack observability (histograms, switch timeline, flight
-    /// recorder). On by default like under the simulator.
-    pub telemetry: TelemetryConfig,
+/// What a [`LiveHost`] needs from its network: the send path (the
+/// drivers' [`ActionSink`]) and the wait for input.
+pub trait Transport: ActionSink + Send + Sized + 'static {
+    /// The host label of [`LiveHost::telemetry_report`].
+    const HOST: &'static str;
+    /// Whether the report carries the socket counters block.
+    const SOCKETS: bool;
+
+    /// Block until input arrives or `timeout` passes (`None`: no
+    /// deadline), and feed the input to `shard`. Returns `false` when
+    /// the shard must stop.
+    fn wait(shard: &mut Shard<Self>, timeout: Option<Duration>) -> bool;
+
+    /// Insert or replace a peer-table row (a no-op without sockets).
+    fn set_peer(&mut self, _peer: NodeAddr) {}
 }
 
-impl RuntimeConfig {
-    /// `n` stacks with no fault injection, shard count picked
-    /// automatically.
-    pub fn new(n: u32) -> RuntimeConfig {
-        RuntimeConfig {
-            n,
-            shards: 0,
-            seed: 0,
-            loss: 0.0,
-            delay: Dur::ZERO,
-            trace: false,
-            telemetry: TelemetryConfig::default(),
-        }
-    }
+/// Where a stack of the group runs: `(shard, index within the shard)`,
+/// or `None` when another process hosts it.
+type Route = Option<(u32, u32)>;
 
-    /// Set the shard-thread count (builder style). Capped to `n` at
-    /// spawn time; see [`RuntimeConfig::shards`].
-    pub fn with_shards(mut self, shards: u32) -> RuntimeConfig {
-        self.shards = shards;
-        self
-    }
+/// A shard to start: its stacks, its mailbox and its transport.
+type ShardParts<T> = (Vec<Stack>, Receiver<Msg>, T);
 
-    fn effective_shards(&self) -> u32 {
-        let auto = || {
-            let cores =
-                std::thread::available_parallelism().map(|p| p.get() as u32).unwrap_or(4).max(1);
-            self.n.clamp(1, cores)
-        };
-        match self.shards {
-            0 => auto(),
-            s => s.min(self.n.max(1)),
-        }
-    }
-}
+/// Reports fold one closure per shard over its drivers and pool.
+type FoldFn = Box<dyn FnOnce(&[StackDriver], &WireScratch) + Send>;
 
-/// Aggregate counters across all shards.
-#[derive(Debug, Default)]
-pub struct RuntimeStats {
-    /// Packets handed to the in-process network.
-    pub packets_sent: u64,
-    /// Packets dropped by the loss model.
-    pub packets_dropped: u64,
-}
-
-#[derive(Default)]
-struct StatsInner {
-    packets_sent: AtomicU64,
-    packets_dropped: AtomicU64,
-}
-
-type StackFn = Box<dyn FnOnce(&mut Stack) -> Box<dyn Any + Send> + Send>;
-
-enum ShardMsg {
-    /// Deliver `payload` from `src` to `dst` once the wall clock reaches
-    /// `at` (the sender already applied the loss model).
-    Deliver { dst: StackId, src: StackId, payload: Bytes, at: Time },
-    /// Run a closure against `dst`'s stack and send back the result.
-    Ctl { dst: StackId, f: StackFn, reply: Sender<Box<dyn Any + Send>> },
-    /// Report the shard-level scratch pool's counters (every encode on
-    /// this shard runs under the pool loan, so these are the shard's
-    /// wire stats).
-    PoolStats { reply: Sender<dpu_core::wire::ScratchStats> },
+enum Msg {
+    /// Deliver `payload` from `src` to local driver `local` once the
+    /// wall clock reaches `at` (the sender already applied the loss
+    /// model). Memory transport only.
+    Deliver { local: usize, src: StackId, payload: Bytes, at: Time },
+    /// Run a closure against a local driver (by index); the closure
+    /// sends its own reply.
+    Ctl(usize, ControlFn),
+    /// Fold the shard's drivers and pool into a report part.
+    Fold(FoldFn),
+    /// Insert/replace a peer-table row.
+    SetPeer(NodeAddr),
     /// Stop the shard and return its stacks.
     Stop,
 }
 
-/// The sending half of the in-process network: executes a driver's
-/// `NetSend`s by routing each packet to the destination stack's shard,
-/// stamped with its delivery time.
-struct Router {
-    shard_of: Arc<Vec<u32>>,
-    mailboxes: Vec<Sender<ShardMsg>>,
-    stats: Arc<StatsInner>,
+/// The posting half of a shard's mailbox, with the waker of a shard
+/// that parks in `epoll_wait` instead of on the channel.
+#[derive(Clone)]
+struct Mailbox {
+    tx: Sender<Msg>,
+    waker: Option<sys::Waker>,
+}
+
+impl Mailbox {
+    /// Returns `false` if the shard has stopped.
+    fn post(&self, msg: Msg) -> bool {
+        let sent = self.tx.send(msg).is_ok();
+        if let Some(w) = &self.waker {
+            w.wake();
+        }
+        sent
+    }
+}
+
+/// The network counters of a live host: [`SocketCounters`], updated
+/// from every shard.
+#[derive(Default)]
+struct Counters {
+    packets_sent: AtomicU64,
+    packets_dropped: AtomicU64,
+    unroutable: AtomicU64,
+    send_errors: AtomicU64,
+    malformed_dropped: AtomicU64,
+    misdirected: AtomicU64,
+    packets_received: AtomicU64,
+}
+
+fn bump(counter: &AtomicU64) {
+    counter.fetch_add(1, SeqCst);
+}
+
+/// The send-side half every transport shares: counting and the
+/// injected loss model.
+struct Egress {
+    stats: Arc<Counters>,
     loss: f64,
-    delay: Dur,
     rng: u64,
 }
 
-impl Router {
+impl Egress {
+    /// Shard `shard`'s egress, on its own xorshift stream.
+    fn new(stats: &Arc<Counters>, loss: f64, seed: u64, shard: usize) -> Egress {
+        let rng = seed ^ (shard as u64 + 1).wrapping_mul(0x9E3779B97F4A7C15) | 1;
+        Egress { stats: Arc::clone(stats), loss, rng }
+    }
+
+    /// Count one send and sample the loss model: `false` drops it.
+    fn admit(&mut self) -> bool {
+        // SeqCst, and every drop counted after its send, pairs with the
+        // dropped-before-sent load order of `LiveHost::stats` to keep
+        // its snapshot monotonic.
+        bump(&self.stats.packets_sent);
+        if self.loss > 0.0 && self.next_rand() < self.loss {
+            bump(&self.stats.packets_dropped);
+            return false;
+        }
+        true
+    }
+
     fn next_rand(&mut self) -> f64 {
         let mut x = self.rng;
         x ^= x >> 12;
@@ -179,30 +181,12 @@ impl Router {
     }
 }
 
-impl ActionSink for Router {
-    fn net_send(&mut self, at: Time, src: StackId, dst: StackId, payload: Bytes) {
-        // SeqCst pairs with the dropped-before-sent load order in
-        // `Runtime::stats` to keep its snapshot monotonic.
-        self.stats.packets_sent.fetch_add(1, Ordering::SeqCst);
-        if self.loss > 0.0 && self.next_rand() < self.loss {
-            self.stats.packets_dropped.fetch_add(1, Ordering::SeqCst);
-            return;
-        }
-        let Some(&shard) = self.shard_of.get(dst.idx()) else { return };
-        // Ignore send errors: the destination shard may have shut down.
-        let _ = self.mailboxes[shard as usize].send(ShardMsg::Deliver {
-            dst,
-            src,
-            payload,
-            at: at + self.delay,
-        });
-    }
-}
+/// An entry on a shard's deadline wheel: `(time, seq, item)` in a
+/// min-heap, FIFO among equal times (like the simulator's heap). The
+/// sequence number is unique, so items are never compared.
+type WheelEntry = Reverse<(Time, u64, WheelItem)>;
 
-/// An entry on a shard's timer wheel. Ordered by `(time, seq)` for a
-/// stable min-heap with FIFO tie-breaking (like the simulator's heap).
-struct WheelEntry(Reverse<(Time, u64)>, WheelItem);
-
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
 enum WheelItem {
     /// Poll local driver `usize`; stale if its stamp moved (see
     /// [`Shard::next_wake`]).
@@ -212,26 +196,10 @@ enum WheelItem {
     Deliver { local: usize, src: StackId, payload: Bytes },
 }
 
-impl PartialEq for WheelEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.0 == other.0
-    }
-}
-impl Eq for WheelEntry {}
-impl PartialOrd for WheelEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for WheelEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.cmp(&other.0)
-    }
-}
-
-/// One worker thread: a set of drivers, a mailbox, a timer wheel.
-struct Shard {
-    ids: Vec<StackId>,
+/// One shard thread: a set of drivers, a mailbox, a deadline wheel and
+/// a transport. Opaque outside this crate; [`Transport::wait`] receives
+/// it to feed its input in.
+pub struct Shard<T> {
     drivers: Vec<StackDriver>,
     /// Scheduled wheel wake time per local driver. A wheel `Wake` whose
     /// time differs from the stamp is stale and is skipped; the stamp
@@ -240,123 +208,82 @@ struct Shard {
     next_wake: Vec<Option<Time>>,
     wheel: BinaryHeap<WheelEntry>,
     wheel_seq: u64,
-    mailbox: Receiver<ShardMsg>,
-    router: Router,
+    mailbox: Receiver<Msg>,
+    link: T,
     start: Instant,
     /// The shard-level encode-buffer pool, loaned to whichever driver
-    /// is being polled (see [`dpu_core::stack::Stack::swap_scratch`]):
-    /// retained encode memory scales with shard threads, not stacks.
-    pool: dpu_core::wire::WireScratch,
+    /// runs.
+    pool: WireScratch,
     /// The shard-level dispatch-queue buffer, loaned alongside the
     /// encode pool: cascade burst capacity scales with shards too.
-    qpool: dpu_core::stack::DispatchBuf,
+    qpool: DispatchBuf,
 }
 
-/// Upper bound on mailbox messages handled between wheel checks, so a
-/// flood of packets cannot starve due timers or delivery-timestamp
-/// ordering.
-const DRAIN_BATCH: usize = 128;
-
-impl Shard {
+impl<T: Transport> Shard<T> {
     fn now(&self) -> Time {
         Time(self.start.elapsed().as_nanos() as u64)
     }
 
-    fn run(mut self) -> Vec<(StackId, Stack)> {
+    fn run(mut self) -> Vec<Stack> {
         // Service the stacks' start-up work (on_start handlers).
         for i in 0..self.drivers.len() {
             self.poll_driver(i);
         }
         loop {
-            let now = self.now();
-            self.fire_wheel(now);
-            // Park on the mailbox until the earliest wheel deadline —
-            // or indefinitely when the wheel is empty, so an idle shard
-            // burns no CPU. Every other wakeup arrives as a mailbox
-            // message, and shutdown never relies on a timeout:
-            // [`Runtime::shutdown`] and [`Runtime`]'s `Drop` both post
-            // an explicit `Stop` to every mailbox.
-            let msg = match self.wheel.peek() {
-                Some(WheelEntry(Reverse((at, _)), _)) => {
-                    match self.mailbox.recv_timeout(at.since(self.now()).to_std()) {
-                        Ok(msg) => msg,
-                        Err(RecvTimeoutError::Timeout) => continue,
-                        Err(RecvTimeoutError::Disconnected) => break,
-                    }
-                }
-                None => match self.mailbox.recv() {
-                    Ok(msg) => msg,
-                    Err(_) => break,
-                },
-            };
-            if !self.handle(msg) {
+            self.fire_wheel(self.now());
+            // Wait until the earliest wheel deadline — or indefinitely
+            // when the wheel is empty, so an idle shard burns no CPU.
+            // Shutdown never relies on a timeout: `LiveHost::shutdown`
+            // and its `Drop` both post an explicit `Stop`.
+            let timeout =
+                self.wheel.peek().map(|Reverse((at, _, _))| at.since(self.now()).to_std());
+            if !T::wait(&mut self, timeout) {
                 break;
             }
-            for _ in 0..DRAIN_BATCH {
-                match self.mailbox.try_recv() {
-                    Ok(msg) => {
-                        if !self.handle(msg) {
-                            return self.into_stacks();
-                        }
-                    }
-                    Err(_) => break,
-                }
-            }
         }
-        self.into_stacks()
+        self.drivers.into_iter().map(StackDriver::into_stack).collect()
     }
 
-    fn into_stacks(self) -> Vec<(StackId, Stack)> {
-        self.ids.into_iter().zip(self.drivers.into_iter().map(StackDriver::into_stack)).collect()
-    }
-
-    /// Returns `false` on `Stop`.
-    fn handle(&mut self, msg: ShardMsg) -> bool {
-        match msg {
-            ShardMsg::Deliver { dst, src, payload, at } => {
-                // Always through the wheel, even when already due: the
-                // wheel pops by (stamp, arrival seq), so a due packet
-                // cannot overtake an earlier-stamped one still parked
-                // there (per-sender FIFO survives `delay`).
-                let local = self.local_idx(dst);
-                self.push_wheel(at, WheelItem::Deliver { local, src, payload });
+    /// Handle up to `limit` queued mailbox messages without blocking.
+    /// Returns `false` on `Stop` or when every sender is gone.
+    fn drain_mailbox(&mut self, limit: usize) -> bool {
+        for _ in 0..limit {
+            match self.mailbox.try_recv() {
+                Ok(msg) => {
+                    if !self.handle(msg) {
+                        return false;
+                    }
+                }
+                Err(TryRecvError::Empty) => break,
+                Err(TryRecvError::Disconnected) => return false,
             }
-            ShardMsg::Ctl { dst, f, reply } => {
-                let local = self.local_idx(dst);
-                // Loan the pool for the closure (it may encode), and
-                // leave it loaned through the follow-up poll.
-                self.drivers[local].swap_scratch(&mut self.pool);
-                self.drivers[local].swap_queue(&mut self.qpool);
-                let r = f(self.drivers[local].stack_mut());
-                self.drivers[local].swap_scratch(&mut self.pool);
-                self.drivers[local].swap_queue(&mut self.qpool);
-                let _ = reply.send(r);
-                // The closure may have queued work or produced actions.
-                self.poll_driver(local);
-            }
-            ShardMsg::PoolStats { reply } => {
-                let _ = reply.send(self.pool.stats());
-            }
-            ShardMsg::Stop => return false,
         }
         true
     }
 
-    fn local_idx(&self, id: StackId) -> usize {
-        // Round-robin assignment: shard s owns stacks s, s+k, s+2k, ...
-        // Must stay in lockstep with the `shard_of` map built in
-        // `Runtime::spawn`; the assert ties the two encodings together.
-        let local = id.idx() / self.router.mailboxes.len();
-        debug_assert_eq!(self.ids[local], id, "stack-to-shard assignment diverged");
-        local
+    /// Returns `false` on `Stop`.
+    fn handle(&mut self, msg: Msg) -> bool {
+        match msg {
+            Msg::Deliver { local, src, payload, at } => {
+                // Always through the wheel, even when already due: the
+                // wheel pops by (stamp, arrival seq), so a due packet
+                // cannot overtake an earlier-stamped one still parked
+                // there (per-sender FIFO survives `delay`).
+                self.push_wheel(at, WheelItem::Deliver { local, src, payload });
+            }
+            // The closure runs at the start of the poll, under the loan
+            // (it may encode), and any work it queues runs right after.
+            Msg::Ctl(local, f) => self.inject(local, HostEvent::Control(f)),
+            Msg::Fold(f) => f(&self.drivers, &self.pool),
+            Msg::SetPeer(p) => self.link.set_peer(p),
+            Msg::Stop => return false,
+        }
+        true
     }
 
     fn fire_wheel(&mut self, now: Time) {
-        while let Some(WheelEntry(Reverse((at, _)), _)) = self.wheel.peek() {
-            if *at > now {
-                break;
-            }
-            let WheelEntry(Reverse((at, _)), item) = self.wheel.pop().expect("peeked");
+        while self.wheel.peek().is_some_and(|Reverse((at, _, _))| *at <= now) {
+            let Reverse((at, _, item)) = self.wheel.pop().expect("peeked");
             match item {
                 WheelItem::Wake(local) => {
                     if self.next_wake[local] != Some(at) {
@@ -366,117 +293,153 @@ impl Shard {
                     self.poll_driver(local);
                 }
                 WheelItem::Deliver { local, src, payload } => {
-                    self.drivers[local].inject(HostEvent::Packet { src, payload });
-                    self.poll_driver(local);
+                    self.inject(local, HostEvent::Packet { src, payload })
                 }
             }
         }
+    }
+
+    /// Hand an event to a local driver and run its dispatch cascade.
+    fn inject(&mut self, local: usize, ev: HostEvent) {
+        self.drivers[local].inject(ev);
+        self.poll_driver(local);
     }
 
     /// Run one driver's canonical drive loop and keep a wheel wake
     /// scheduled at its next deadline.
     fn poll_driver(&mut self, local: usize) {
         let now = self.now();
-        // The canonical drive loop dispatches module handlers, which
-        // encode — run it under the shard-pool loan.
-        self.drivers[local].swap_scratch(&mut self.pool);
-        self.drivers[local].swap_queue(&mut self.qpool);
-        let wakeup = self.drivers[local].poll(now, &mut self.router);
-        self.drivers[local].swap_scratch(&mut self.pool);
-        self.drivers[local].swap_queue(&mut self.qpool);
-        match wakeup {
-            Wakeup::Idle => {}
-            Wakeup::At(at) => {
-                if self.next_wake[local].is_none_or(|w| at < w) {
-                    self.next_wake[local] = Some(at);
-                    self.push_wheel(at, WheelItem::Wake(local));
-                }
+        // The drive loop dispatches module handlers, which encode.
+        if let Wakeup::At(at) = self.loaned(local, |d, link| d.poll(now, link)) {
+            if self.next_wake[local].is_none_or(|w| at < w) {
+                self.next_wake[local] = Some(at);
+                self.push_wheel(at, WheelItem::Wake(local));
             }
         }
+    }
+
+    /// Run `f` on a local driver with the shard's encode pool and
+    /// dispatch buffer loaned to its stack.
+    fn loaned<R>(&mut self, local: usize, f: impl FnOnce(&mut StackDriver, &mut T) -> R) -> R {
+        let d = &mut self.drivers[local];
+        d.swap_scratch(&mut self.pool);
+        d.swap_queue(&mut self.qpool);
+        let r = f(d, &mut self.link);
+        d.swap_scratch(&mut self.pool);
+        d.swap_queue(&mut self.qpool);
+        r
     }
 
     fn push_wheel(&mut self, at: Time, item: WheelItem) {
         let seq = self.wheel_seq;
         self.wheel_seq += 1;
-        self.wheel.push(WheelEntry(Reverse((at, seq)), item));
+        self.wheel.push(Reverse((at, seq, item)));
     }
 }
 
-/// The sharded runtime. See crate docs.
-pub struct Runtime {
-    mailboxes: Vec<Sender<ShardMsg>>,
-    shard_of: Arc<Vec<u32>>,
-    threads: Vec<JoinHandle<Vec<(StackId, Stack)>>>,
-    start: Instant,
-    stats: Arc<StatsInner>,
+/// One shard's share of the host-wide reports.
+#[derive(Default)]
+struct Reading {
+    telemetry: TelemetryAggregate,
+    wire: ScratchStats,
+    transport: TransportStats,
 }
 
-impl Runtime {
-    /// Spawn `cfg.n` stacks multiplexed over `cfg.shards` worker
-    /// threads. `mk_stack` builds each stack from its [`StackConfig`]
-    /// (called on the spawning thread, in stack-id order).
-    pub fn spawn(cfg: RuntimeConfig, mut mk_stack: impl FnMut(StackConfig) -> Stack) -> Runtime {
-        let start = Instant::now();
-        let stats = Arc::new(StatsInner::default());
-        let shards = cfg.effective_shards() as usize;
-        let shard_of: Arc<Vec<u32>> =
-            Arc::new((0..cfg.n).map(|i| i % shards as u32).collect::<Vec<_>>());
-        let (txs, rxs): (Vec<_>, Vec<_>) = (0..shards).map(|_| unbounded::<ShardMsg>()).unzip();
-        let mut by_shard: Vec<(Vec<StackId>, Vec<StackDriver>)> =
-            (0..shards).map(|_| (Vec::new(), Vec::new())).collect();
-        let peer_table = StackConfig::peer_table(cfg.n);
-        for i in 0..cfg.n {
-            let sc = StackConfig {
-                id: StackId(i),
-                peers: Arc::clone(&peer_table),
-                seed: cfg.seed,
-                trace: cfg.trace,
-                // The live runtime has no topology model: one flat
-                // cluster, which locality-aware protocols degenerate to.
-                cluster_size: None,
-                telemetry: cfg.telemetry,
-            };
-            let (ids, drivers) = &mut by_shard[(i as usize) % shards];
-            ids.push(StackId(i));
-            drivers.push(StackDriver::new(mk_stack(sc)));
+impl Reading {
+    fn of(drivers: &[StackDriver], pool: &WireScratch) -> Reading {
+        let mut r = Reading { wire: pool.stats(), ..Reading::default() };
+        for d in drivers {
+            let s = d.stack();
+            r.telemetry.absorb(s.telemetry());
+            // Each stack's resident scratch is a residual: zero under
+            // the loan discipline, kept so an encode outside a loan
+            // still counts.
+            r.wire.absorb(s.wire_stats());
+            r.transport.absorb(s.transport_stats());
         }
-        let threads = by_shard
-            .into_iter()
-            .zip(rxs)
-            .enumerate()
-            .map(|(s, ((ids, drivers), mailbox))| {
-                let n_local = drivers.len();
-                let shard = Shard {
-                    ids,
-                    drivers,
-                    next_wake: vec![None; n_local],
-                    wheel: BinaryHeap::new(),
-                    wheel_seq: 0,
-                    mailbox,
-                    router: Router {
-                        shard_of: Arc::clone(&shard_of),
-                        mailboxes: txs.clone(),
-                        stats: Arc::clone(&stats),
-                        loss: cfg.loss,
-                        delay: cfg.delay,
-                        rng: cfg.seed ^ (s as u64 + 1).wrapping_mul(0x9E3779B97F4A7C15) | 1,
-                    },
-                    start,
-                    pool: dpu_core::wire::WireScratch::shard_pool(),
-                    qpool: dpu_core::stack::DispatchBuf::new(),
-                };
-                std::thread::Builder::new()
-                    .name(format!("dpu-shard-{s}"))
-                    .spawn(move || shard.run())
-                    .expect("spawn shard thread")
-            })
-            .collect();
-        Runtime { mailboxes: txs, shard_of, threads, start, stats }
+        r
+    }
+}
+
+/// The live host: a handle on the shard threads of one transport. See
+/// the crate docs; [`Runtime`] and [`Reactor`] are its instantiations.
+pub struct LiveHost<T> {
+    mailboxes: Vec<Mailbox>,
+    route: Arc<[Route]>,
+    threads: Vec<JoinHandle<Vec<Stack>>>,
+    start: Instant,
+    stats: Arc<Counters>,
+    /// The sockets of the hosted stacks (empty on the memory
+    /// transport).
+    local: Vec<NodeAddr>,
+    transport: PhantomData<fn() -> T>,
+}
+
+/// The [`StackConfig`]s of an `n`-stack group on a live host, by id.
+fn stack_configs(
+    n: u32,
+    seed: u64,
+    trace: bool,
+    telemetry: TelemetryConfig,
+) -> impl Fn(StackId) -> StackConfig {
+    let peers = StackConfig::peer_table(n);
+    // No topology model: one flat cluster, which locality-aware
+    // protocols degenerate to.
+    move |id| StackConfig {
+        id,
+        peers: Arc::clone(&peers),
+        seed,
+        trace,
+        cluster_size: None,
+        telemetry,
+    }
+}
+
+impl<T: Transport> LiveHost<T> {
+    /// Start one thread per entry of `shards` (its stacks, mailbox and
+    /// transport); `mailboxes` and `route` address them.
+    fn launch(
+        shards: Vec<ShardParts<T>>,
+        mailboxes: Vec<Mailbox>,
+        route: Arc<[Route]>,
+        stats: Arc<Counters>,
+        local: Vec<NodeAddr>,
+    ) -> io::Result<LiveHost<T>> {
+        let start = Instant::now();
+        let mut host = LiveHost {
+            mailboxes,
+            route,
+            threads: Vec::with_capacity(shards.len()),
+            start,
+            stats,
+            local,
+            transport: PhantomData,
+        };
+        for (s, (stacks, mailbox, link)) in shards.into_iter().enumerate() {
+            let shard = Shard {
+                next_wake: vec![None; stacks.len()],
+                drivers: stacks.into_iter().map(StackDriver::new).collect(),
+                wheel: BinaryHeap::new(),
+                wheel_seq: 0,
+                mailbox,
+                link,
+                start,
+                pool: WireScratch::shard_pool(),
+                qpool: DispatchBuf::new(),
+            };
+            // On error the partial host drops, stopping the shards
+            // already started.
+            let t = std::thread::Builder::new()
+                .name(format!("dpu-{}-{s}", T::HOST))
+                .spawn(move || shard.run())?;
+            host.threads.push(t);
+        }
+        Ok(host)
     }
 
-    /// Number of stacks.
+    /// Total group size (stacks hosted here or elsewhere).
     pub fn n(&self) -> u32 {
-        self.shard_of.len() as u32
+        self.route.len() as u32
     }
 
     /// Number of shard threads.
@@ -484,125 +447,38 @@ impl Runtime {
         self.mailboxes.len() as u32
     }
 
-    /// Wall-clock time since the runtime started, as virtual [`Time`].
+    /// Wall-clock time since the host started, as virtual [`Time`] (the
+    /// same clock the shards stamp events with).
     pub fn now(&self) -> Time {
         Time(self.start.elapsed().as_nanos() as u64)
     }
 
-    /// Aggregate network counters. The snapshot is monotonic
+    /// Aggregate network counters. The socket-edge fields stay zero on
+    /// the memory transport. The snapshot is monotonic
     /// (`packets_dropped <= packets_sent` always holds): `dropped` is
     /// loaded first and every drop increment is sequenced after its
     /// send increment, all SeqCst.
-    pub fn stats(&self) -> RuntimeStats {
-        let packets_dropped = self.stats.packets_dropped.load(Ordering::SeqCst);
-        let packets_sent = self.stats.packets_sent.load(Ordering::SeqCst);
-        RuntimeStats { packets_sent, packets_dropped }
-    }
-
-    /// Aggregate [`dpu_core::wire::ScratchStats`] over the runtime: the
-    /// shard-level pools (where every encode lands under the loan
-    /// discipline — one request per *shard*, not per stack) plus each
-    /// stack's resident scratch as a residual (zero in normal operation;
-    /// kept so any encode outside a loan still counts). The steady-state
-    /// allocation oracle of the live message path.
-    ///
-    /// Like [`Runtime::with_stack`], must be called from outside the
-    /// shard threads.
-    pub fn wire_stats(&self) -> dpu_core::wire::ScratchStats {
-        let mut total = self.pool_stats();
-        for i in 0..self.n() {
-            total.absorb(self.with_stack(StackId(i), |s| s.wire_stats()));
+    pub fn stats(&self) -> SocketCounters {
+        let c = &self.stats;
+        let packets_dropped = c.packets_dropped.load(SeqCst);
+        SocketCounters {
+            packets_sent: c.packets_sent.load(SeqCst),
+            packets_dropped,
+            unroutable: c.unroutable.load(SeqCst),
+            send_errors: c.send_errors.load(SeqCst),
+            malformed_dropped: c.malformed_dropped.load(SeqCst),
+            misdirected: c.misdirected.load(SeqCst),
+            packets_received: c.packets_received.load(SeqCst),
         }
-        total
-    }
-
-    /// Sum of the shard-level scratch pools' counters (one control
-    /// round-trip per shard).
-    fn pool_stats(&self) -> dpu_core::wire::ScratchStats {
-        let mut total = dpu_core::wire::ScratchStats::default();
-        for mb in &self.mailboxes {
-            let (tx, rx) = bounded(1);
-            mb.send(ShardMsg::PoolStats { reply: tx }).expect("shard thread alive");
-            total.absorb(rx.recv().expect("shard replies"));
-        }
-        total
-    }
-
-    /// Aggregate [`dpu_core::TransportStats`] over every stack — the
-    /// health of the reliable transport under the live loss model
-    /// (rp2p retransmissions, frames given up after the retransmit
-    /// cap, current unacked backlog).
-    ///
-    /// Like [`Runtime::with_stack`], must be called from outside the
-    /// shard threads.
-    pub fn transport_stats(&self) -> dpu_core::TransportStats {
-        let mut total = dpu_core::TransportStats::default();
-        for i in 0..self.n() {
-            total.absorb(self.with_stack(StackId(i), |s| s.transport_stats()));
-        }
-        total
-    }
-
-    /// Unified telemetry snapshot across every stack: delivery-latency /
-    /// cascade-depth / scratch-occupancy / reseq-depth histograms, the
-    /// switch-phase timeline, and wire + transport counter families.
-    /// Shape-identical to `Sim::telemetry_report` and
-    /// `Reactor::telemetry_report`.
-    ///
-    /// Like [`Runtime::with_stack`], must be called from outside the
-    /// shard threads.
-    pub fn telemetry_report(&self) -> dpu_core::telemetry::TelemetryReport {
-        let mut agg = dpu_core::telemetry::TelemetryAggregate::new();
-        let mut wire = dpu_core::wire::ScratchStats::default();
-        let mut transport = dpu_core::TransportStats::default();
-        for i in 0..self.n() {
-            let (part, w, t) = self.with_stack(StackId(i), |s| {
-                let mut part = dpu_core::telemetry::TelemetryAggregate::new();
-                part.absorb(s.telemetry());
-                (part, s.wire_stats(), s.transport_stats())
-            });
-            agg.merge(&part);
-            wire.absorb(w);
-            transport.absorb(t);
-        }
-        wire.absorb(self.pool_stats());
-        let mut report = agg.report("runtime", self.n(), self.now().as_nanos());
-        report.wire = dpu_core::telemetry::WireCounters {
-            emitted: wire.emitted,
-            reclaimed: wire.reclaimed,
-            allocations: wire.allocations,
-        };
-        report.transport = dpu_core::telemetry::TransportCounters {
-            retransmissions: transport.retransmissions,
-            exhausted: transport.exhausted,
-            unacked: transport.unacked,
-        };
-        report
-    }
-
-    /// Dump every stack's flight recorder (most recent events, oldest
-    /// first, with drop counts) — the postmortem a failing soak prints.
-    ///
-    /// Like [`Runtime::with_stack`], must be called from outside the
-    /// shard threads.
-    pub fn dump_flight_recorders(&self) -> String {
-        let mut out = String::new();
-        for i in 0..self.n() {
-            let chunk = self.with_stack(StackId(i), move |s| {
-                let mut buf = String::new();
-                s.telemetry().dump_flight(&format!("stack {}", s.id().0), &mut buf);
-                buf
-            });
-            out.push_str(&chunk);
-        }
-        out
     }
 
     /// Run a closure against the stack of node `id` (on its owning
-    /// shard) and return the result. Blocks until the shard services the
-    /// request.
+    /// shard) and return the result. Blocks until the shard services
+    /// the request.
     ///
-    /// Must be called from *outside* the runtime's shard threads. A call
+    /// Panics, in the caller, if this host does not host `id`.
+    ///
+    /// Must be called from *outside* the host's shard threads. A call
     /// issued from code already running on a shard (e.g. inside another
     /// `with_stack` closure) targeting a stack of that same shard would
     /// wait on the very thread that is executing it — a self-deadlock.
@@ -611,277 +487,138 @@ impl Runtime {
         id: StackId,
         f: impl FnOnce(&mut Stack) -> R + Send + 'static,
     ) -> R {
-        let (tx, rx) = bounded(1);
-        let wrapped: StackFn = Box::new(move |s| Box::new(f(s)) as Box<dyn Any + Send>);
-        let shard = self.shard_of[id.idx()] as usize;
-        self.mailboxes[shard]
-            .send(ShardMsg::Ctl { dst: id, f: wrapped, reply: tx })
-            .expect("shard thread alive");
-        let boxed = rx.recv().expect("shard replies");
-        *boxed.downcast::<R>().expect("result type")
+        let Some(&Some((shard, local))) = self.route.get(id.idx()) else {
+            panic!("stack {} is not hosted by this {}", id.0, T::HOST);
+        };
+        let (tx, rx) = mpsc::sync_channel(1);
+        let ctl: ControlFn = Box::new(move |s| {
+            let _ = tx.send(f(s));
+        });
+        assert!(self.mailboxes[shard as usize].post(Msg::Ctl(local as usize, ctl)), "shard alive");
+        rx.recv().expect("shard replies")
     }
 
-    /// Stop all shard threads and return the final stacks in id order
+    /// Fold every shard's drivers and pool with `f`: one message per
+    /// shard, all posted before the first reply is awaited.
+    fn fold<A: Send + 'static>(
+        &self,
+        f: fn(&[StackDriver], &WireScratch) -> A,
+    ) -> impl Iterator<Item = A> {
+        let replies: Vec<_> = self
+            .mailboxes
+            .iter()
+            .map(|mb| {
+                let (tx, rx) = mpsc::sync_channel(1);
+                let fold: FoldFn = Box::new(move |drivers, pool| {
+                    let _ = tx.send(f(drivers, pool));
+                });
+                assert!(mb.post(Msg::Fold(fold)), "shard alive");
+                rx
+            })
+            .collect();
+        replies.into_iter().map(|rx| rx.recv().expect("shard replies"))
+    }
+
+    fn reading(&self) -> Reading {
+        self.fold(Reading::of).fold(Reading::default(), |mut total, part| {
+            total.telemetry.merge(&part.telemetry);
+            total.wire.absorb(part.wire);
+            total.transport.absorb(part.transport);
+            total
+        })
+    }
+
+    /// Aggregate [`ScratchStats`] over the host: the shard-level pools,
+    /// where every encode lands under the loan discipline, plus each
+    /// stack's resident scratch as a residual. The steady-state
+    /// allocation oracle of the live message path.
+    ///
+    /// Like [`LiveHost::with_stack`], must be called from outside the
+    /// shard threads.
+    pub fn wire_stats(&self) -> ScratchStats {
+        self.reading().wire
+    }
+
+    /// Aggregate [`TransportStats`] over the hosted stacks — the health
+    /// of the reliable transport under the live loss model (rp2p
+    /// retransmissions, frames given up after the retransmit cap,
+    /// current unacked backlog).
+    ///
+    /// Like [`LiveHost::with_stack`], must be called from outside the
+    /// shard threads.
+    pub fn transport_stats(&self) -> TransportStats {
+        self.reading().transport
+    }
+
+    /// Unified telemetry snapshot across the hosted stacks: the
+    /// histogram families and switch-phase timeline plus wire and
+    /// transport counters, and on the socket transport the
+    /// [`SocketCounters`] as its `sockets` block. Shape-identical to
+    /// `Sim::telemetry_report`.
+    ///
+    /// Like [`LiveHost::with_stack`], must be called from outside the
+    /// shard threads.
+    pub fn telemetry_report(&self) -> TelemetryReport {
+        let r = self.reading();
+        let hosted = self.route.iter().flatten().count() as u32;
+        let mut report = r.telemetry.report(T::HOST, hosted, self.now().as_nanos());
+        report.wire = r.wire.into();
+        report.transport = r.transport.into();
+        report.sockets = T::SOCKETS.then(|| self.stats());
+        report
+    }
+
+    /// Dump every hosted stack's flight recorder (most recent events,
+    /// oldest first, with drop counts), in stack-id order — the
+    /// postmortem a failing soak or crashed child process prints.
+    ///
+    /// Like [`LiveHost::with_stack`], must be called from outside the
+    /// shard threads.
+    pub fn dump_flight_recorders(&self) -> String {
+        let mut chunks: Vec<(StackId, String)> = self
+            .fold(|drivers, _| {
+                let dump = |d: &StackDriver| {
+                    let s = d.stack();
+                    let mut buf = String::new();
+                    s.telemetry().dump_flight(&format!("stack {}", s.id().0), &mut buf);
+                    (s.id(), buf)
+                };
+                drivers.iter().map(dump).collect::<Vec<_>>()
+            })
+            .flatten()
+            .collect();
+        chunks.sort_by_key(|(id, _)| *id);
+        chunks.into_iter().map(|(_, chunk)| chunk).collect()
+    }
+
+    /// Stop all shard threads and return the hosted stacks in id order
     /// (for post-hoc trace inspection).
     pub fn shutdown(mut self) -> Vec<Stack> {
         for mb in &self.mailboxes {
-            let _ = mb.send(ShardMsg::Stop);
+            mb.post(Msg::Stop);
         }
-        let mut stacks: Vec<(StackId, Stack)> = std::mem::take(&mut self.threads)
+        let mut stacks: Vec<Stack> = std::mem::take(&mut self.threads)
             .into_iter()
             .flat_map(|t| t.join().expect("shard thread"))
             .collect();
-        stacks.sort_by_key(|(id, _)| *id);
-        stacks.into_iter().map(|(_, s)| s).collect()
+        stacks.sort_by_key(Stack::id);
+        stacks
     }
 }
 
-impl Drop for Runtime {
+impl<T> Drop for LiveHost<T> {
     fn drop(&mut self) {
-        // Every shard's Router holds senders to every mailbox, so shards
-        // never observe disconnection on their own; stop them explicitly
-        // so dropping a Runtime without `shutdown()` (e.g. on a test
-        // panic) does not leak the shard threads. After `shutdown()` the
-        // receivers are gone and these sends are ignored errors.
+        // Every memory shard's router holds senders to every mailbox, so
+        // shards never observe disconnection on their own; stop them
+        // explicitly so dropping a host without `shutdown()` (e.g. on a
+        // test panic) does not leak the shard threads. After
+        // `shutdown()` the receivers are gone and these posts fail
+        // harmlessly.
         for mb in &self.mailboxes {
-            let _ = mb.send(ShardMsg::Stop);
+            mb.post(Msg::Stop);
         }
         for t in std::mem::take(&mut self.threads) {
             let _ = t.join();
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use dpu_core::stack::{net_ops, FactoryRegistry, ModuleCtx};
-    use dpu_core::wire::Encode;
-    use dpu_core::{Call, Module, Response, ServiceId, TimerId};
-    use std::time::Duration;
-
-    /// Counts datagrams; replies "pong" to any "ping".
-    struct PingPong {
-        got: Vec<(StackId, Bytes)>,
-    }
-
-    impl Module for PingPong {
-        fn kind(&self) -> &str {
-            "pingpong"
-        }
-        fn provides(&self) -> Vec<ServiceId> {
-            Vec::new()
-        }
-        fn requires(&self) -> Vec<ServiceId> {
-            vec![ServiceId::new(dpu_core::svc::NET)]
-        }
-        fn on_call(&mut self, _: &mut ModuleCtx<'_>, _: Call) {}
-        fn on_response(&mut self, ctx: &mut ModuleCtx<'_>, resp: Response) {
-            if resp.op != net_ops::RECV {
-                return;
-            }
-            let (src, data): (StackId, Bytes) = resp.decode().unwrap();
-            if data.as_ref() == b"ping" {
-                let reply = (src, Bytes::from_static(b"pong")).to_bytes();
-                ctx.call(&ServiceId::new(dpu_core::svc::NET), net_ops::SEND, reply);
-            }
-            self.got.push((src, data));
-        }
-    }
-
-    /// In every test stack here: net bridge is module 1, the test module
-    /// is module 2.
-    const PP: dpu_core::ModuleId = dpu_core::ModuleId(2);
-    const BEAT: dpu_core::ModuleId = dpu_core::ModuleId(2);
-
-    fn mk(sc: StackConfig) -> Stack {
-        let mut s = Stack::new(sc, FactoryRegistry::new());
-        s.add_module(Box::new(PingPong { got: vec![] }));
-        s
-    }
-
-    #[test]
-    fn ping_pong_roundtrip_between_shards() {
-        let rt = Runtime::spawn(RuntimeConfig::new(2).with_shards(2), mk);
-        assert_eq!(rt.shards(), 2);
-        let data = (StackId(1), Bytes::from_static(b"ping")).to_bytes();
-        rt.with_stack(StackId(0), move |s| {
-            s.call_as(PP, &ServiceId::new(dpu_core::svc::NET), net_ops::SEND, data)
-        });
-        // Wait for the exchange with a bounded poll.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            let got = rt.with_stack(StackId(0), |s| {
-                s.with_module::<PingPong, _>(PP, |p| p.got.clone()).unwrap()
-            });
-            if got.iter().any(|(src, d)| *src == StackId(1) && d.as_ref() == b"pong") {
-                break;
-            }
-            assert!(Instant::now() < deadline, "no pong within 5s");
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert!(rt.stats().packets_sent >= 2);
-        rt.shutdown();
-    }
-
-    #[test]
-    fn many_stacks_multiplex_on_two_shards() {
-        let n = 32u32;
-        let rt = Runtime::spawn(RuntimeConfig::new(n).with_shards(2), mk);
-        assert_eq!(rt.shards(), 2);
-        // Every stack pings its successor; every stack must see a pong.
-        for i in 0..n {
-            let data = (StackId((i + 1) % n), Bytes::from_static(b"ping")).to_bytes();
-            rt.with_stack(StackId(i), move |s| {
-                s.call_as(PP, &ServiceId::new(dpu_core::svc::NET), net_ops::SEND, data)
-            });
-        }
-        let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
-            let done = (0..n).all(|i| {
-                rt.with_stack(StackId(i), |s| {
-                    s.with_module::<PingPong, _>(PP, |p| {
-                        p.got.iter().any(|(_, d)| d.as_ref() == b"pong")
-                    })
-                    .unwrap()
-                })
-            });
-            if done {
-                break;
-            }
-            assert!(Instant::now() < deadline, "32-stack ping ring incomplete after 10s");
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        let stacks = rt.shutdown();
-        assert_eq!(stacks.len(), n as usize);
-    }
-
-    #[test]
-    fn timers_fire_in_real_time() {
-        struct TimerBeat {
-            beats: u32,
-        }
-        impl Module for TimerBeat {
-            fn kind(&self) -> &str {
-                "beat"
-            }
-            fn provides(&self) -> Vec<ServiceId> {
-                Vec::new()
-            }
-            fn requires(&self) -> Vec<ServiceId> {
-                Vec::new()
-            }
-            fn on_start(&mut self, ctx: &mut ModuleCtx<'_>) {
-                ctx.set_timer(Dur::millis(10), 1);
-            }
-            fn on_call(&mut self, _: &mut ModuleCtx<'_>, _: Call) {}
-            fn on_response(&mut self, _: &mut ModuleCtx<'_>, _: Response) {}
-            fn on_timer(&mut self, ctx: &mut ModuleCtx<'_>, _: TimerId, _: u64) {
-                self.beats += 1;
-                if self.beats < 5 {
-                    ctx.set_timer(Dur::millis(10), 1);
-                }
-            }
-        }
-        let rt = Runtime::spawn(RuntimeConfig::new(1), |sc| {
-            let mut s = Stack::new(sc, FactoryRegistry::new());
-            s.add_module(Box::new(TimerBeat { beats: 0 }));
-            s
-        });
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            let beats = rt.with_stack(StackId(0), |s| {
-                s.with_module::<TimerBeat, _>(BEAT, |b| b.beats).unwrap()
-            });
-            if beats >= 5 {
-                break;
-            }
-            assert!(Instant::now() < deadline, "timers too slow: {beats}/5");
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        rt.shutdown();
-    }
-
-    #[test]
-    fn loss_model_drops_packets() {
-        let mut cfg = RuntimeConfig::new(2);
-        cfg.loss = 1.0;
-        let rt = Runtime::spawn(cfg, mk);
-        let data = (StackId(1), Bytes::from_static(b"ping")).to_bytes();
-        rt.with_stack(StackId(0), move |s| {
-            s.call_as(PP, &ServiceId::new(dpu_core::svc::NET), net_ops::SEND, data)
-        });
-        std::thread::sleep(Duration::from_millis(100));
-        let got = rt
-            .with_stack(StackId(1), |s| s.with_module::<PingPong, _>(PP, |p| p.got.len()).unwrap());
-        assert_eq!(got, 0);
-        let stats = rt.stats();
-        assert_eq!(stats.packets_dropped, stats.packets_sent);
-        rt.shutdown();
-    }
-
-    #[test]
-    fn delay_is_a_delivery_timestamp_not_a_sleep() {
-        // Pre-shard runtimes slept the whole node thread per delayed
-        // packet. Now the packet waits on the receiving shard's wheel:
-        // a control round-trip through the same (single) shard must
-        // complete in a fraction of the delay.
-        // Generous margins (2 s delay, 1 s bound) so a preempted CI
-        // runner does not flake the property.
-        let mut cfg = RuntimeConfig::new(2).with_shards(1);
-        cfg.delay = Dur::secs(2);
-        let rt = Runtime::spawn(cfg, mk);
-        let data = (StackId(1), Bytes::from_static(b"ping")).to_bytes();
-        rt.with_stack(StackId(0), move |s| {
-            s.call_as(PP, &ServiceId::new(dpu_core::svc::NET), net_ops::SEND, data)
-        });
-        let t0 = Instant::now();
-        let got_now = rt
-            .with_stack(StackId(1), |s| s.with_module::<PingPong, _>(PP, |p| p.got.len()).unwrap());
-        assert!(
-            t0.elapsed() < Duration::from_secs(1),
-            "shard stalled on packet delay: control round-trip took {:?}",
-            t0.elapsed()
-        );
-        // Only meaningful if we actually read back before the delivery
-        // time (a preempted runner could legitimately deliver by now).
-        if t0.elapsed() < Duration::from_secs(2) {
-            assert_eq!(got_now, 0, "packet must not arrive before its delivery time");
-        }
-        // The packet still arrives once its timestamp is due.
-        let deadline = Instant::now() + Duration::from_secs(15);
-        loop {
-            let got = rt.with_stack(StackId(1), |s| {
-                s.with_module::<PingPong, _>(PP, |p| p.got.len()).unwrap()
-            });
-            if got > 0 {
-                break;
-            }
-            assert!(Instant::now() < deadline, "delayed packet never delivered");
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        rt.shutdown();
-    }
-
-    #[test]
-    fn drop_without_shutdown_stops_shard_threads() {
-        let rt = Runtime::spawn(RuntimeConfig::new(8).with_shards(2), mk);
-        let data = (StackId(1), Bytes::from_static(b"ping")).to_bytes();
-        rt.with_stack(StackId(0), move |s| {
-            s.call_as(PP, &ServiceId::new(dpu_core::svc::NET), net_ops::SEND, data)
-        });
-        // Drop joins the shard threads; completing (not hanging) is the
-        // assertion.
-        drop(rt);
-    }
-
-    #[test]
-    fn shutdown_returns_final_stacks_in_id_order() {
-        let rt = Runtime::spawn(RuntimeConfig::new(5).with_shards(2), mk);
-        let stacks = rt.shutdown();
-        assert_eq!(stacks.len(), 5);
-        for (i, s) in stacks.iter().enumerate() {
-            assert_eq!(s.id(), StackId(i as u32));
         }
     }
 }

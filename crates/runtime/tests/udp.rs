@@ -11,7 +11,7 @@ use dpu_net::dgram::{self, Dgram};
 use dpu_net::rp2p::{Rp2pConfig, Rp2pModule};
 use dpu_net::sockframe::SockFrame;
 use dpu_net::udp::UdpModule;
-use dpu_reactor::{NodeAddr, Reactor, ReactorConfig};
+use dpu_runtime::{NodeAddr, Reactor, ReactorConfig};
 use std::time::{Duration, Instant};
 
 /// Records `rp2p` RECV responses.

@@ -1143,18 +1143,8 @@ impl Sim {
             }
         }
         let mut report = agg.report("sim", self.cfg.n, self.now.as_nanos());
-        let w = self.wire_stats();
-        report.wire = dpu_core::telemetry::WireCounters {
-            emitted: w.emitted,
-            reclaimed: w.reclaimed,
-            allocations: w.allocations,
-        };
-        let t = self.transport_stats();
-        report.transport = dpu_core::telemetry::TransportCounters {
-            retransmissions: t.retransmissions,
-            exhausted: t.exhausted,
-            unacked: t.unacked,
-        };
+        report.wire = self.wire_stats().into();
+        report.transport = self.transport_stats().into();
         report
     }
 

@@ -72,10 +72,9 @@
 
 use crate::{CpuConfig, Shard, SimShared, Topology};
 use dpu_core::time::Time;
-use parking_lot::Mutex;
 use std::ops::DerefMut;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
 /// A reusable sense-reversing barrier. Spins briefly (the common case:
@@ -229,13 +228,13 @@ struct JobBoard {
 /// [`Drop`], which is what a panicking run unwinds into.
 pub(crate) struct WorkerPool {
     workers: usize,
-    board: Arc<(StdMutex<JobBoard>, Condvar)>,
+    board: Arc<(Mutex<JobBoard>, Condvar)>,
     threads: Vec<JoinHandle<()>>,
 }
 
 impl WorkerPool {
     pub(crate) fn new(workers: usize) -> WorkerPool {
-        let board = Arc::new((StdMutex::new(JobBoard::default()), Condvar::new()));
+        let board = Arc::new((Mutex::new(JobBoard::default()), Condvar::new()));
         let threads = (0..workers)
             .map(|wi| {
                 let board = Arc::clone(&board);
@@ -307,7 +306,7 @@ impl WorkerPool {
             }
             job.claim.store(0, Ordering::Relaxed);
             for (cell, shard) in job.cells.iter().zip(shards.drain(..)) {
-                *cell.lock() = Some(shard);
+                *cell.lock().unwrap_or_else(PoisonError::into_inner) = Some(shard);
             }
             if !job.barrier.wait() {
                 panic!("parallel simulation worker panicked");
@@ -316,9 +315,12 @@ impl WorkerPool {
             if !job.barrier.wait() {
                 panic!("parallel simulation worker panicked");
             }
-            shards.extend(
-                job.cells.iter().map(|c| c.lock().take().expect("shard parked for the epoch")),
-            );
+            shards.extend(job.cells.iter().map(|c| {
+                c.lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .take()
+                    .expect("shard parked for the epoch")
+            }));
             let mut views: Vec<&mut Shard> = shards.iter_mut().collect();
             exchange(&mut views);
         }
@@ -344,7 +346,7 @@ impl Drop for WorkerPool {
 
 /// A pool thread: sleep on the board until a new job generation (or
 /// shutdown), work the stretch, repeat.
-fn worker_loop(board: &(StdMutex<JobBoard>, Condvar)) {
+fn worker_loop(board: &(Mutex<JobBoard>, Condvar)) {
     let mut last_gen = 0;
     loop {
         let job = {
@@ -389,7 +391,7 @@ fn stretch_worker(job: &StretchJob) {
                 break;
             }
             let idx = job.order[k].load(Ordering::Relaxed);
-            let mut cell = job.cells[idx].lock();
+            let mut cell = job.cells[idx].lock().unwrap_or_else(PoisonError::into_inner);
             cell.as_mut().expect("shard parked for the epoch").run_epoch(&shared, h);
         }
         if !job.barrier.wait() {

@@ -50,13 +50,12 @@
 use crate::Sim;
 use dpu_core::time::{Dur, Time};
 use dpu_core::{Stack, StackConfig, StackId};
-use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::Rng;
 use std::cmp::Reverse;
 use std::collections::BTreeMap;
 use std::collections::BinaryHeap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Performs one application-level send from `node` (e.g. broadcast one
 /// probe message). Called on the simulation thread at injection time.
@@ -305,7 +304,7 @@ fn thinned_fire(sim: &mut Sim, mut st: Box<ThinnedState>) {
     // Thinning: accept this candidate with probability rate(t)/peak.
     let accept = st.rng.gen::<f64>() < st.shape.at(t) / st.shape.peak;
     if accept && !sim.stack(node).is_crashed() {
-        (st.inject.lock())(sim, node);
+        (st.inject.lock().unwrap_or_else(PoisonError::into_inner))(sim, node);
         sim.workload_mut(st.id).injected += 1;
         if st.shape.in_burst(t) {
             let w = st.shape.window_of(t);
@@ -344,7 +343,7 @@ fn closed_loop_tick(sim: &mut Sim, mut st: Box<ClosedLoopState>) {
         if sim.stack(node).is_crashed() {
             continue;
         }
-        let done = (st.completed.lock())(sim, node);
+        let done = (st.completed.lock().unwrap_or_else(PoisonError::into_inner))(sim, node);
         if done < st.prev_done[i] {
             // The completed counter went backwards: the node was
             // restarted with a fresh stack (churn), which dropped its
@@ -354,7 +353,7 @@ fn closed_loop_tick(sim: &mut Sim, mut st: Box<ClosedLoopState>) {
         }
         st.prev_done[i] = done;
         if st.sent[i].saturating_sub(done) < st.window {
-            (st.inject.lock())(sim, node);
+            (st.inject.lock().unwrap_or_else(PoisonError::into_inner))(sim, node);
             st.sent[i] += 1;
             sim.workload_mut(st.id).injected += 1;
         }

@@ -5,11 +5,11 @@
 //! `Reactor::telemetry_report()` all fold their per-stack
 //! [`crate::StackTelemetry`] partials through a [`TelemetryAggregate`]
 //! and emit this struct — so an operator (or a bench harness) reads the
-//! same fields whatever host ran the stacks. The host-specific counter
-//! families the repo used to print ad hoc — `ScratchStats`,
-//! `TransportStats`, `ReactorStats` — arrive here as plain counter
-//! mirrors ([`WireCounters`], [`TransportCounters`], [`SocketCounters`])
-//! so this crate stays below `dpu-core` in the dependency graph.
+//! same fields whatever host ran the stacks. `ScratchStats` and
+//! `TransportStats` arrive here as plain counter mirrors
+//! ([`WireCounters`], [`TransportCounters`]; `dpu-core` converts with
+//! `From`) so this crate stays below `dpu-core` in the dependency graph; the live host counts straight
+//! into [`SocketCounters`].
 //!
 //! `Display` renders the human block; [`TelemetryReport::to_json`]
 //! renders the machine form through [`crate::json::JsonWriter`].
@@ -44,8 +44,9 @@ pub struct TransportCounters {
     pub unacked: u64,
 }
 
-/// Mirror of `dpu_reactor::ReactorStats` (OS-socket edge; zero and
-/// absent from Display on the in-memory hosts).
+/// The live host's network counters (`dpu_runtime`'s `RuntimeStats`
+/// and `ReactorStats` are this type). The socket-edge fields stay zero
+/// on the in-memory transport, whose reports omit the block.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SocketCounters {
     /// Frames handed to the send path.
@@ -56,7 +57,8 @@ pub struct SocketCounters {
     pub unroutable: u64,
     /// `send_to` errors.
     pub send_errors: u64,
-    /// Malformed datagrams dropped on receive.
+    /// Received datagrams that were not well-formed frames (junk,
+    /// truncation, corruption) — counted, never panicked on.
     pub malformed_dropped: u64,
     /// Well-formed frames for stacks not hosted here.
     pub misdirected: u64,

@@ -12,9 +12,10 @@
 //!   variants, group membership;
 //! * [`repl`] — the replacement module (Algorithm 1) and the baseline
 //!   switchers;
-//! * [`runtime`] — a sharded event-loop real-time host;
-//! * [`reactor`] — an epoll-backed real-socket host (stacks over
-//!   loopback UDP, groups spanning OS processes).
+//! * [`runtime`] — the live host: one shard loop over an in-memory
+//!   transport (many stacks on a few threads) or real UDP sockets
+//!   (groups spanning OS processes);
+//! * [`reactor`] — the live host's UDP half under its own name.
 //!
 //! ## Quickstart
 //!

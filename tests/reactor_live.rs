@@ -8,10 +8,9 @@
 //! exactly once, drained, and delivered the same messages in the same
 //! order — the paper's Figure-4 scenario over a real transport.
 
-use dpu::reactor::ReactorConfig;
+use dpu::reactor::{Reactor, ReactorConfig};
 use dpu::repl::builder::{
-    group_reactor, request_change_reactor, send_probe_reactor, specs, GroupStackOpts, Handles,
-    SwitchLayer,
+    group, request_change, send_probe, specs, GroupStackOpts, Handles, SwitchLayer,
 };
 use dpu_core::probe::Probe;
 use dpu_core::StackId;
@@ -45,9 +44,11 @@ fn live_switch_across_two_reactors_over_loopback_udp() {
     let mut cfg_a = ReactorConfig::new(N, (0..N / 2).map(StackId).collect());
     cfg_a.loss = 0.02;
     cfg_a.seed = 11;
-    let (ra, h) = group_reactor(cfg_a, &opts).expect("spawn reactor a");
+    let (ra, h) = group(&opts, |mk| Reactor::spawn(cfg_a, mk));
+    let ra = ra.expect("spawn reactor a");
     let cfg_b = ReactorConfig::new(N, (N / 2..N).map(StackId).collect());
-    let (rb, hb) = group_reactor(cfg_b, &opts).expect("spawn reactor b");
+    let (rb, hb) = group(&opts, |mk| Reactor::spawn(cfg_b, mk));
+    let rb = rb.expect("spawn reactor b");
     // Construction is deterministic: both halves get identical handles.
     assert_eq!(h.probe, hb.probe);
     assert_eq!(h.layer, hb.layer);
@@ -73,16 +74,16 @@ fn live_switch_across_two_reactors_over_loopback_udp() {
 
     // Phase 1: probes from both reactors, totally ordered everywhere.
     for node in [1, 6] {
-        send_probe_reactor(host(node), StackId(node), &h);
+        send_probe(host(node), StackId(node), &h);
     }
     wait_until("phase-1 deliveries on all 8 stacks", Duration::from_secs(60), || all_delivered(2));
 
     // The live switch, requested from a non-sequencer stack on reactor
     // B — the request itself crosses the loopback socket to reach the
     // sequencer on reactor A.
-    request_change_reactor(&rb, StackId(5), &h, &specs::seq(1));
+    request_change(&rb, StackId(5), &h, &specs::seq(1));
     for node in [2, 7] {
-        send_probe_reactor(host(node), StackId(node), &h);
+        send_probe(host(node), StackId(node), &h);
     }
     wait_until("post-switch deliveries on all 8 stacks", Duration::from_secs(60), || {
         all_delivered(4)

@@ -4,9 +4,7 @@
 //! miniature). Wall-clock tests are kept short and generous with
 //! deadlines to stay robust on loaded CI machines.
 
-use dpu::repl::builder::{
-    group_runtime, request_change_live, send_probe_live, specs, GroupStackOpts, SwitchLayer,
-};
+use dpu::repl::builder::{group, request_change, send_probe, specs, GroupStackOpts, SwitchLayer};
 use dpu::runtime::{Runtime, RuntimeConfig};
 use dpu_core::abcast_check::AbcastChecker;
 use dpu_core::probe::Probe;
@@ -43,20 +41,20 @@ fn wait_for_deliveries(rt: &Runtime, probe: ModuleId, n: u32, count: usize) {
 #[test]
 fn live_switch_preserves_total_order_across_shards() {
     // 3 full Figure-4 stacks multiplexed on 2 shard threads.
-    let (rt, h) = group_runtime(RuntimeConfig::new(3).with_shards(2), &opts());
+    let (rt, h) = group(&opts(), |mk| Runtime::spawn(RuntimeConfig::new(3).with_shards(2), mk));
     let probe = h.probe.unwrap();
     let layer = h.layer.unwrap();
 
     std::thread::sleep(Duration::from_millis(200));
     for node in 0..3 {
-        send_probe_live(&rt, StackId(node), &h);
+        send_probe(&rt, StackId(node), &h);
     }
     wait_for_deliveries(&rt, probe, 3, 3);
 
     // Live switch, with messages racing it.
-    request_change_live(&rt, StackId(1), &h, &specs::seq(1));
+    request_change(&rt, StackId(1), &h, &specs::seq(1));
     for node in 0..3 {
-        send_probe_live(&rt, StackId(node), &h);
+        send_probe(&rt, StackId(node), &h);
     }
     wait_for_deliveries(&rt, probe, 3, 6);
 
@@ -87,13 +85,13 @@ fn live_switch_preserves_total_order_across_shards() {
 fn live_stack_survives_lossy_network() {
     let mut cfg = RuntimeConfig::new(3);
     cfg.loss = 0.10;
-    let (rt, h) = group_runtime(cfg, &opts());
+    let (rt, h) = group(&opts(), |mk| Runtime::spawn(cfg, mk));
     let probe = h.probe.unwrap();
 
     std::thread::sleep(Duration::from_millis(200));
     for round in 0..4 {
         for node in 0..3 {
-            send_probe_live(&rt, StackId(node), &h);
+            send_probe(&rt, StackId(node), &h);
         }
         wait_for_deliveries(&rt, probe, 3, (round + 1) * 3);
     }
